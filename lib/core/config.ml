@@ -57,8 +57,11 @@ type integrity = {
 (* Verified reads are opt-in: the fast path gains a client-side digest
    over every block read, which real deployments enable per volume.
    [cross_check] governs the degraded-path dual-subset decode check;
-   [digest_per_byte] is the client-side checksum compute cost (FNV-ish
-   byte loop, same order as the delta kernel). *)
+   [digest_per_byte] is the simulation's cost model for the client-side
+   digest, in seconds per byte.  It is a modelling constant, not a
+   measurement of [Checksum.digest_bytes]; it stays at 1 ns/B so the
+   committed simulated-time baselines do not move when the digest's
+   real speed changes. *)
 let default_integrity =
   { verified_reads = false; cross_check = true; digest_per_byte = 1.0e-9 }
 

@@ -21,15 +21,22 @@
 type status = Valid | Digest_mismatch | Stale_epoch | Bad_seal
 
 type record = {
-  digest : int64;  (** FNV-1a over the block bytes *)
+  digest : int64;  (** {!digest_bytes} of the block bytes *)
   epoch : int;  (** epoch the block was sealed under *)
   writer : int64;  (** opaque tag of the last mutating op *)
   seal : int64;  (** digest of the record's own fields *)
 }
 
 val digest_bytes : bytes -> int64
-(** 64-bit FNV-1a of the block contents. Not cryptographic: the threat
-    model is bit rot and stale state, not adversarial forgery. *)
+(** 64-bit digest of the block contents: four independent lanes, each
+    absorbing little-endian 64-bit words through a step that is a
+    bijection in the word, folded together with the block length.  Any
+    change confined to one aligned 8-byte word (so every single-bit flip
+    and every single-byte change) always changes the digest, and blocks
+    of different lengths are kept apart.  Host byte order does not
+    matter, and nothing is allocated beyond the result.  Not
+    cryptographic: the threat model is bit rot and stale state, not
+    adversarial forgery. *)
 
 val pack_writer : seq:int -> blk:int -> client:int -> int64
 (** Deterministically folds a transaction id into an opaque writer tag

@@ -49,8 +49,10 @@ type slot = {
      any list, so a delta repairer needs them for duplicate suppression
      on both sides.  Cleared at finalize (the new base absorbs them);
      past [tombs_cap] the slot merely stops being delta-repairable
-     until the next seal. *)
+     until the next seal.  [tombs_n] is [List.length tombs], kept so the
+     cap check on every GC drop is O(1). *)
   mutable tombs : tid list;
+  mutable tombs_n : int;
   mutable tombs_overflow : bool;
 }
 
@@ -122,6 +124,7 @@ let fresh_slot t =
     dlog_floor = 0;
     dlog_reset = false;
     tombs = [];
+    tombs_n = 0;
     tombs_overflow = false;
   }
 
@@ -243,6 +246,11 @@ let do_get_meta t ~id s =
   let self = if s.opmode = Init then None else Some (checked_status t ~id s) in
   R_meta { opmode = s.opmode; epoch = s.epoch; self }
 
+let clear_tombs s =
+  s.tombs <- [];
+  s.tombs_n <- 0;
+  s.tombs_overflow <- false
+
 (* Quarantine: the caller (verified read / scrub) identified this member
    as holding bad-but-plausible state.  Demote to INIT so recovery
    rebuilds it from the surviving members; protocol lists go with it,
@@ -256,8 +264,7 @@ let do_mark_init s =
   s.dlog <- [];
   s.dlog_bytes <- 0;
   s.dlog_reset <- true;
-  s.tombs <- [];
-  s.tombs_overflow <- false;
+  clear_tombs s;
   R_ack
 
 let do_swap t s ~v ~ntid =
@@ -434,8 +441,7 @@ let do_finalize s ~epoch =
     s.dlog_floor <- max s.dlog_floor epoch;
     s.dlog_reset <- false
   end;
-  s.tombs <- [];
-  s.tombs_overflow <- false;
+  clear_tombs s;
   R_ack
 
 let do_gc_old t s tids_to_drop =
@@ -452,8 +458,11 @@ let do_gc_old t s tids_to_drop =
        for duplicate suppression on both sides of a catch-up. *)
     List.iter
       (fun e ->
-        if List.length s.tombs >= t.tombs_cap then s.tombs_overflow <- true
-        else s.tombs <- e.e_tid :: s.tombs)
+        if s.tombs_n >= t.tombs_cap then s.tombs_overflow <- true
+        else begin
+          s.tombs <- e.e_tid :: s.tombs;
+          s.tombs_n <- s.tombs_n + 1
+        end)
       dropped;
     R_gc { ok = true }
   end
@@ -540,8 +549,7 @@ let do_apply_delta t ~id s ~entries ~absorbed ~from_epoch ~to_epoch =
       List.filter (fun e -> not (mem_plain_tid e.e_tid absorbed)) s.recentlist;
     s.oldlist <-
       List.filter (fun e -> not (mem_plain_tid e.e_tid absorbed)) s.oldlist;
-    s.tombs <- [];
-    s.tombs_overflow <- false;
+    clear_tombs s;
     s.epoch <- to_epoch;
     (* The cross-epoch reseal: the caught-up bytes are this member's
        value for the target epoch's base plus its leftover in-flight
@@ -661,7 +669,7 @@ let overhead_bytes t =
       let recons =
         match s.recons_set with None -> 0 | Some l -> 4 * List.length l
       in
-      let repair = s.dlog_bytes + (tid_bytes * List.length s.tombs) in
+      let repair = s.dlog_bytes + (tid_bytes * s.tombs_n) in
       acc + 1 + 2 + 4 + 2 + 2 + lists + recons + repair + Checksum.bytes_size)
     t.slots 0
 
@@ -732,6 +740,7 @@ let peek_dlog t ~slot:id = List.map (fun e -> e.d_tid) (slot t id).dlog
 let peek_dlog_bytes t ~slot:id = (slot t id).dlog_bytes
 let peek_dlog_floor t ~slot:id = (slot t id).dlog_floor
 let peek_tombs t ~slot:id = (slot t id).tombs
+let peek_tombs_count t ~slot:id = (slot t id).tombs_n
 
 let oldest_recent_age t ~now =
   Hashtbl.fold

@@ -141,6 +141,10 @@ val peek_tombs : t -> slot:int -> Proto.tid list
 (** GC-dropped tids retained for delta-repair duplicate suppression
     since the slot's last seal. *)
 
+val peek_tombs_count : t -> slot:int -> int
+(** The slot's maintained tombstone count, which the cap check reads
+    instead of walking {!peek_tombs}. *)
+
 val oldest_recent_age : t -> now:float -> float option
 (** Age of the oldest recentlist entry across all slots — what the
     monitoring mechanism (Sec 3.10) inspects to detect unfinished

@@ -72,6 +72,122 @@ let test_digest_commutes_with_adds () =
   Alcotest.(check int64) "digest matches bytes" (Checksum.digest_bytes b1) d1
 
 (* ------------------------------------------------------------------ *)
+(* The digest against its specification, and its detection guarantee. *)
+
+(* Byte-at-a-time reference of the digest's spec, kept in test code
+   only (like [Kernel.Scalar8] beside [Table8]): word [w] is bytes
+   [8w, 8w+8) read little-endian, the last one zero-padded; the words of
+   whole 32-byte chunks go to lane [w mod 4], every later word to lane
+   0; then the lanes and the length are folded in. *)
+module Ref_digest = struct
+  let mix h w =
+    let x = Int64.mul (Int64.logxor h w) 0x9e3779b97f4a7c15L in
+    Int64.logor (Int64.shift_left x 31) (Int64.shift_right_logical x 33)
+
+  let digest b =
+    let len = Bytes.length b in
+    let lanes =
+      [| 0xcbf29ce484222325L; 0x84222325cbf29ce4L; 0x6a09e667f3bcc908L;
+         0xbb67ae8584caa73bL |]
+    in
+    let chunked = len / 32 * 32 in
+    for w = 0 to ((len + 7) / 8) - 1 do
+      let word = ref 0L in
+      for i = (8 * w) + 7 downto 8 * w do
+        let byte = if i < len then Char.code (Bytes.get b i) else 0 in
+        word := Int64.logor (Int64.shift_left !word 8) (Int64.of_int byte)
+      done;
+      let lane = if (8 * w) + 8 <= chunked then w mod 4 else 0 in
+      lanes.(lane) <- mix lanes.(lane) !word
+    done;
+    let h = Array.fold_left mix lanes.(0) (Array.sub lanes 1 3) in
+    mix h (Int64.of_int len)
+end
+
+let random_bytes st len =
+  Bytes.init len (fun _ -> Char.chr (Random.State.int st 256))
+
+let prop_digest_matches_reference =
+  QCheck.Test.make ~name:"digest matches byte-at-a-time reference"
+    ~count:500
+    QCheck.(pair (int_range 0 300) int)
+    (fun (len, seed) ->
+      let b = random_bytes (Random.State.make [| seed |]) len in
+      Checksum.digest_bytes b = Ref_digest.digest b)
+
+(* Every tail length (len mod 32) at several chunk counts, so each
+   path through the word and tail loops is pinned to the spec. *)
+let test_digest_every_tail_length () =
+  let st = Random.State.make [| 0x7a11 |] in
+  for chunks = 0 to 3 do
+    for tail = 0 to 31 do
+      let b = random_bytes st ((32 * chunks) + tail) in
+      Alcotest.(check int64)
+        (Printf.sprintf "len %d" (Bytes.length b))
+        (Ref_digest.digest b) (Checksum.digest_bytes b)
+    done
+  done
+
+let flip_bit b bit =
+  let i = bit / 8 in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))))
+
+(* The single-word guarantee at its finest grain: every one-bit flip,
+   at every offset of a block with a whole-chunk body and a sub-word
+   tail, changes the digest. *)
+let test_digest_detects_every_bit_flip () =
+  let b = random_bytes (Random.State.make [| 0xb17 |]) ((4 * 1024) + 5) in
+  let d = Checksum.digest_bytes b in
+  let missed = ref 0 in
+  for bit = 0 to (8 * Bytes.length b) - 1 do
+    flip_bit b bit;
+    if Checksum.digest_bytes b = d then incr missed;
+    flip_bit b bit
+  done;
+  Alcotest.(check int) "undetected single-bit flips" 0 !missed
+
+(* Multi-word corruption is outside the guarantee but must still be
+   caught in practice: 2-8 distinct words, each xored with a random
+   nonzero mask, across 1000 seeds. *)
+let test_digest_detects_multi_word_patterns () =
+  let words = 4 * 1024 / 8 in
+  let missed = ref 0 in
+  for seed = 1 to 1000 do
+    let st = Random.State.make [| seed |] in
+    let b = random_bytes st (4 * 1024) in
+    let d = Checksum.digest_bytes b in
+    let n = 2 + Random.State.int st 7 in
+    let picked = Hashtbl.create 8 in
+    while Hashtbl.length picked < n do
+      Hashtbl.replace picked (Random.State.int st words) ()
+    done;
+    Hashtbl.iter
+      (fun w () ->
+        let mask = ref 0L in
+        while !mask = 0L do
+          mask := Random.State.bits64 st
+        done;
+        Bytes.set_int64_le b (8 * w)
+          (Int64.logxor (Bytes.get_int64_le b (8 * w)) !mask))
+      picked;
+    if Checksum.digest_bytes b = d then incr missed
+  done;
+  Alcotest.(check int) "undetected multi-word patterns" 0 !missed
+
+(* The length is folded in: all-zero blocks never collide across
+   lengths, including lengths that differ only by zero padding. *)
+let test_digest_zero_blocks_differ_by_length () =
+  let seen = Hashtbl.create 600 in
+  for len = 0 to 520 do
+    let d = Checksum.digest_bytes (Bytes.make len '\000') in
+    (match Hashtbl.find_opt seen d with
+    | Some other ->
+      Alcotest.failf "zero blocks of %d and %d bytes collide" other len
+    | None -> ());
+    Hashtbl.replace seen d len
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Defense layer 1: node-side self-check on plain reads.               *)
 
 let test_plain_read_heals_corruption () =
@@ -234,4 +350,13 @@ let suite =
         test_check_integrity_finds_cross_epoch_rollback;
       t "scrub repairs corruption in bounded rounds"
         test_scrub_repairs_corruption_everywhere;
-    ] )
+      t "digest matches reference at every tail length"
+        test_digest_every_tail_length;
+      t "digest detects every single-bit flip"
+        test_digest_detects_every_bit_flip;
+      t "digest detects multi-word patterns"
+        test_digest_detects_multi_word_patterns;
+      t "zero blocks of different lengths differ"
+        test_digest_zero_blocks_differ_by_length;
+    ]
+    @ List.map QCheck_alcotest.to_alcotest [ prop_digest_matches_reference ] )

@@ -197,6 +197,66 @@ let test_delta_log_bookkeeping () =
     "eviction advanced the floor" true
     (Storage_node.peek_dlog_floor store ~slot:0 > 0)
 
+let test_tombstone_count_tracks_list () =
+  (* White-box: the per-slot tombstone count that the cap check reads
+     must equal the tombstone list's length through every path that
+     grows or resets it: GC drops (up to and past the cap), finalize,
+     mark-init and a delta catch-up. *)
+  let count store = Storage_node.peek_tombs_count store ~slot:0 in
+  let same label store =
+    Alcotest.(check int) label
+      (List.length (Storage_node.peek_tombs store ~slot:0))
+      (count store)
+  in
+  let gc_writes w cfg n =
+    for _ = 1 to n do
+      Client.write w ~slot:0 ~i:0 (blk cfg 'x')
+    done;
+    Client.collect_garbage w;
+    Client.collect_garbage w
+  in
+  let repair = { Config.default_repair with Config.tombs_cap = 4 } in
+  let cfg = cfg_delta ~repair () in
+  let env = Direct_env.create ~rotate:false cfg in
+  let w = Direct_env.make_client env ~id:0 in
+  let store = Direct_env.node_store env 3 in
+  gc_writes w cfg 3;
+  Alcotest.(check int) "GC'd tids counted" 3 (count store);
+  same "after gc" store;
+  gc_writes w cfg 3;
+  Alcotest.(check int) "count held at the cap" 4 (count store);
+  same "past the cap" store;
+  let epoch = Storage_node.peek_epoch store ~slot:0 + 1 in
+  for p = 0 to cfg.Config.n - 1 do
+    ignore
+      (Storage_node.handle (Direct_env.node_store env p) ~caller:0 ~slot:0
+         (Proto.Finalize { epoch }))
+  done;
+  Alcotest.(check int) "finalize clears the count" 0 (count store);
+  same "after finalize" store;
+  gc_writes w cfg 2;
+  Alcotest.(check int) "counting resumes in the new epoch" 2 (count store);
+  same "after gc in the new epoch" store;
+  ignore (Storage_node.handle store ~caller:0 ~slot:0 Proto.Mark_init);
+  Alcotest.(check int) "mark-init clears the count" 0 (count store);
+  same "after mark-init" store;
+  (* Delta catch-up: the victim held tombstones before its outage. *)
+  let cfg = cfg_delta () in
+  let env = Direct_env.create ~rotate:false cfg in
+  let w = Direct_env.make_client env ~id:0 in
+  let fixer = Direct_env.make_client env ~id:9 in
+  let store = Direct_env.node_store env 3 in
+  gc_writes w cfg 2;
+  Alcotest.(check int) "victim tombstones before the outage" 2 (count store);
+  Direct_env.crash_node env 3;
+  stalled_write w ~slot:0 ~i:0 (blk cfg 'B');
+  Client.recover_slot fixer ~slot:0;
+  Direct_env.revive_node env 3;
+  Client.recover_slot fixer ~slot:0;
+  Alcotest.(check int) "caught up by delta" 1 (Client.delta_repairs_run fixer);
+  Alcotest.(check int) "apply-delta clears the count" 0 (count store);
+  same "after apply-delta" store
+
 let suite =
   ( "repair",
     [
@@ -210,4 +270,6 @@ let suite =
         test_log_overflow_falls_back_to_full_rebuild;
       Alcotest.test_case "delta log caps, floor and tombstones" `Quick
         test_delta_log_bookkeeping;
+      Alcotest.test_case "tombstone count tracks the list" `Quick
+        test_tombstone_count_tracks_list;
     ] )
