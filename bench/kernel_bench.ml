@@ -30,13 +30,13 @@ type cell = {
    per-alpha tables outside the window). *)
 let measure ~kernel ~h ~iters (op, f) =
   f ();
-  let a0 = Stdlib.Gc.allocated_bytes () in
+  let a0 = Gc.allocated_bytes () in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to iters do
     f ()
   done;
   let t1 = Unix.gettimeofday () in
-  let a1 = Stdlib.Gc.allocated_bytes () in
+  let a1 = Gc.allocated_bytes () in
   let bytes = float_of_int (block_size * iters) in
   let mb_per_s = bytes /. (1024. *. 1024.) /. (t1 -. t0) in
   let alloc_bytes_per_op = int_of_float ((a1 -. a0) /. float_of_int iters) in

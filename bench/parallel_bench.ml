@@ -45,17 +45,6 @@ let profile () =
   | Some p -> p
   | None -> List.hd Profile.all
 
-(* Percentile over a merged latency sample (nearest-rank). *)
-let percentile samples q =
-  match samples with
-  | [||] -> 0.
-  | s ->
-    let s = Array.copy s in
-    Array.sort compare s;
-    let n = Array.length s in
-    let idx = min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1) in
-    s.(max 0 idx)
-
 type writer_out = {
   wo_lat : float array;  (* per-request latency, seconds *)
   wo_reads : int;
@@ -129,13 +118,15 @@ let scaling_run ~domains =
   let bytes = ops * block_size in
   let mbs = float_of_int bytes /. (1024. *. 1024.) /. elapsed in
   let iops = float_of_int ops /. elapsed in
+  let samples = Array.to_list lat in
+  let p50 = Report.percentile 0.50 samples
+  and p99 = Report.percentile 0.99 samples in
   Printf.printf
     "parallel d=%d: %7.2f MB/s, %7.1f IOPS | p50 %6.2f ms p99 %6.2f ms | %d \
      ops (%d r / %d w) in %.3f s\n\
      %!"
     domains mbs iops
-    (1000. *. percentile lat 0.50)
-    (1000. *. percentile lat 0.99)
+    (1000. *. p50) (1000. *. p99)
     ops reads writes elapsed;
   let open Report in
   ( mbs,
@@ -148,8 +139,8 @@ let scaling_run ~domains =
         ("elapsed_s", J_float (elapsed, 4));
         ("mbs", J_float (mbs, 3));
         ("iops", J_float (iops, 1));
-        ("p50_ms", J_float (1000. *. percentile lat 0.50, 4));
-        ("p99_ms", J_float (1000. *. percentile lat 0.99, 4));
+        ("p50_ms", J_float (1000. *. p50, 4));
+        ("p99_ms", J_float (1000. *. p99, 4));
       ] )
 
 (* CPU-bound leg: no service time, big blocks, writes only.  On a

@@ -4,7 +4,7 @@
    an optional machine-readable JSON summary for the CI artifact. *)
 
 (* Allocation profile of the steady-state data plane: a separate
-   no-fault cluster (so op counts and hence Stdlib.Gc.allocated_bytes deltas
+   no-fault cluster (so op counts and hence Gc.allocated_bytes deltas
    are deterministic and the CI byte-identical-rerun check still holds),
    with manual remap so a crashed data node stays down for the degraded
    reads.  Reports GC bytes per op for write / read / degraded read plus
@@ -44,29 +44,29 @@ let alloc_profile () =
       ignore (Client.read client ~slot:0 ~i:0);
       let per_op a b = int_of_float ((b -. a) /. float_of_int n_ops) in
       let s0 = Buf_pool.stats () in
-      let a0 = Stdlib.Gc.allocated_bytes () in
+      let a0 = Gc.allocated_bytes () in
       for x = 0 to n_ops - 1 do
         write x
       done;
-      let a1 = Stdlib.Gc.allocated_bytes () in
+      let a1 = Gc.allocated_bytes () in
       let s1 = Buf_pool.stats () in
       for _ = 1 to n_ops do
         ignore (Client.read client ~slot:0 ~i:0)
       done;
-      let a2 = Stdlib.Gc.allocated_bytes () in
+      let a2 = Gc.allocated_bytes () in
       (* Crash the node holding data position 0 of slot 0; manual remap
          keeps it down, so reads must decode from survivors. *)
       Cluster.crash_storage cluster
         (Layout.node_of (Cluster.layout cluster) ~stripe:0 ~pos:0);
       let ok = ref true in
       ignore (Client.read_degraded client ~slot:0 ~i:0);
-      let a3 = Stdlib.Gc.allocated_bytes () in
+      let a3 = Gc.allocated_bytes () in
       for _ = 1 to n_ops do
         match Client.read_degraded client ~slot:0 ~i:0 with
         | Some _ -> ()
         | None -> ok := false
       done;
-      let a4 = Stdlib.Gc.allocated_bytes () in
+      let a4 = Gc.allocated_bytes () in
       result :=
         Some
           {
@@ -245,7 +245,11 @@ let run ?json () =
         @ Report.failure_fields !failures
         @ [
             ("rpc_timeouts", J_float (c "rpc.timeout", 0));
-            ("rpc_retries", J_float (c "rpc.retry", 0));
+            ( "rpc_retries",
+              J_float
+                ( float_of_int
+                    (Metrics.counter (Cluster.metrics cluster) "rpc.retries"),
+                  0 ) );
             ("faults_dropped", J_float (c "faults.dropped", 0));
             ("faults_duplicated", J_float (c "faults.duplicated", 0));
             ("history_consistent", J_bool consistent);

@@ -93,7 +93,7 @@ let simulate k n strategy t_p clients outstanding duration write_frac blocks
     Runner.print_result "result" result;
     let stats = Cluster.stats cluster in
     Printf.printf "recoveries: %.0f; messages: %.0f; bytes: %.1f MB\n"
-      (Stats.counter stats "note.recovery.done")
+      result.Runner.recoveries
       (Stats.counter stats "msgs")
       (Stats.counter stats "bytes" /. 1e6);
     0
@@ -215,8 +215,13 @@ let crashdemo k n strategy t_p seed =
     1
   | Ok cfg ->
     let cluster = Cluster.create ~seed cfg in
-    Cluster.on_note cluster (fun t e ->
-        Printf.printf "  t=%8.3f ms  %s\n" (1000. *. t) e);
+    (* Transcript of every recovery the reads trigger: one line per
+       trace event of each Op_recovery context. *)
+    Cluster.on_event cluster (fun ctx e ->
+        if ctx.Trace.kind = Trace.Op_recovery then
+          Printf.printf "  t=%8.3f ms  slot %d  %s\n"
+            (1000. *. Cluster.now cluster)
+            ctx.Trace.slot (Trace.event_to_string e));
     let volume = Cluster.make_volume cluster ~id:0 in
     Cluster.spawn cluster (fun () ->
         Printf.printf "writing %d blocks...\n" (2 * k);

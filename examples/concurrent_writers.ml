@@ -56,5 +56,7 @@ let () =
   Printf.printf "decode from redundant blocks only: data0=%c data1=%c\n"
     (Bytes.get decoded.(0) 0)
     (Bytes.get decoded.(1) 0);
-  Printf.printf "locks taken: 0; recoveries: %.0f\n"
-    (Stats.counter (Cluster.stats cluster) "note.recovery.start")
+  let m = Cluster.metrics cluster in
+  Printf.printf "locks taken: 0; recoveries: %d\n"
+    (Metrics.counter m "op.recovery.count"
+    + Metrics.counter m "op.recovery.failed")

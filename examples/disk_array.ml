@@ -89,6 +89,6 @@ let () =
          blocks consistent\n"
         !ok);
   Cluster.run cluster;
-  Printf.printf "\n%.0f recoveries ran; %.0f messages total\n"
-    (Stats.counter (Cluster.stats cluster) "note.recovery.done")
+  Printf.printf "\n%d recoveries ran; %.0f messages total\n"
+    (Metrics.counter (Cluster.metrics cluster) "recovery.phase.done")
     (Stats.counter (Cluster.stats cluster) "msgs")

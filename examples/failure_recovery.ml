@@ -10,9 +10,11 @@ let () =
     Config.make ~strategy:Config.Parallel ~t_p:1 ~block_size:1024 ~k:3 ~n:5 ()
   in
   let cluster = Cluster.create cfg in
-  Cluster.on_note cluster (fun t event ->
-      if event = "recovery.done" then
-        Printf.printf "  t=%6.1f ms  recovery completed\n" (1000. *. t));
+  Cluster.on_event cluster (fun _ -> function
+    | Trace.Recovery_phase Trace.Ph_done ->
+      Printf.printf "  t=%6.1f ms  recovery completed\n"
+        (1000. *. Cluster.now cluster)
+    | _ -> ());
 
   let samples = ref [] in
   let result =

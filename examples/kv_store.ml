@@ -77,5 +77,5 @@ let () =
       | Some _ -> Printf.printf "  absent    -> UNEXPECTED HIT\n");
   Cluster.run cluster;
   Printf.printf
-    "done: KV layer never saw the crash (%.0f recoveries ran underneath)\n"
-    (Stats.counter (Cluster.stats cluster) "note.recovery.done")
+    "done: KV layer never saw the crash (%d recoveries ran underneath)\n"
+    (Metrics.counter (Cluster.metrics cluster) "recovery.phase.done")

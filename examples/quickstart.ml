@@ -43,7 +43,7 @@ let () =
       let v = Volume.read volume 0 in
       Printf.printf "block 0 after crash reads %c (recovery ran %d time(s))\n"
         (Bytes.get v 0)
-        (int_of_float (Stats.counter (Cluster.stats cluster) "note.recovery.done")));
+        (Metrics.counter (Cluster.metrics cluster) "recovery.phase.done"));
   Cluster.run cluster;
 
   let stats = Cluster.stats cluster in

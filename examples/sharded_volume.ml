@@ -26,10 +26,11 @@ let () =
        (Array.to_list (Array.map string_of_int (Placement.loads placement))))
     (Placement.max_load_imbalance placement);
 
-  Shard_cluster.on_note sc (fun t event ->
-      if event = "recovery.done" then
-        Printf.printf "  t=%6.1f ms  background repair recovered a stripe\n"
-          (1000. *. t));
+  Shard_cluster.on_event sc (fun _ -> function
+    | Trace.Recovery_phase Trace.Ph_done ->
+      Printf.printf "  t=%6.1f ms  background repair recovered a stripe\n"
+        (1000. *. Shard_cluster.now sc)
+    | _ -> ());
 
   (* The crashed node hosts members of several groups; pick group 0's
      first member so we know which groups degrade. *)

@@ -1,24 +1,7 @@
 (* Thin facade over the layered protocol stack: Session (RPC policy),
    Write_path (Fig 5), Read_path (Fig 4 + extensions), Recovery (Fig 6),
-   Gc (Fig 7 + Sec 3.10).  All protocol logic lives in those modules;
-   this file only wires them together and preserves the historical
-   [env]-based API. *)
-
-type call_result = Transport.call_result
-
-type env = {
-  client_id : int;
-  call : slot:int -> pos:int -> Proto.request -> call_result;
-  call_node : node:int -> Proto.request -> call_result;
-  broadcast :
-    (slot:int -> poss:int list -> Proto.request -> (int * call_result) list)
-    option;
-  pfor : (unit -> unit) list -> unit;
-  sleep : float -> unit;
-  now : unit -> float;
-  compute : float -> unit;
-  note : string -> unit;
-}
+   Gc_path (Fig 7 + Sec 3.10).  All protocol logic lives in those
+   modules; this file only wires them together over one transport. *)
 
 exception Data_loss = Session.Data_loss
 exception Stuck = Session.Stuck
@@ -26,45 +9,19 @@ exception Write_abandoned = Session.Write_abandoned
 
 type t = {
   cfg : Config.t;
-  env : env;
+  pfor : (unit -> unit) list -> unit;
   metrics : Metrics.t;
   session : Session.t;
   recovery : Recovery.t;
   write_path : Write_path.t;
   read_path : Read_path.t;
-  gc : Gc.t;
+  gc : Gc_path.t;
 }
-
-let transport_of_env (e : env) : Transport.t =
-  (module struct
-    let client_id = e.client_id
-    let call ?deadline:_ ~slot ~pos req = e.call ~slot ~pos req
-    let call_node ?deadline:_ ~node req = e.call_node ~node req
-    let broadcast = e.broadcast
-    let pfor = e.pfor
-    let sleep = e.sleep
-    let now = e.now
-    let compute = e.compute
-  end : Transport.S)
-
-let env_of_transport ?(note = fun _ -> ()) (tr : Transport.t) : env =
-  let (module T : Transport.S) = tr in
-  {
-    client_id = T.client_id;
-    call = (fun ~slot ~pos req -> T.call ~slot ~pos req);
-    call_node = (fun ~node req -> T.call_node ~node req);
-    broadcast = T.broadcast;
-    pfor = T.pfor;
-    sleep = T.sleep;
-    now = T.now;
-    compute = T.compute;
-    note;
-  }
 
 let of_transport ?(sink = Trace.null_sink) ?locate ?repair_planner cfg code
     transport =
   if Rs_code.k code <> cfg.Config.k || Rs_code.n code <> cfg.Config.n then
-    invalid_arg "Client.create: code does not match configuration";
+    invalid_arg "Client.of_transport: code does not match configuration";
   let metrics = Metrics.create () in
   let session =
     Session.create ~cfg
@@ -72,28 +29,20 @@ let of_transport ?(sink = Trace.null_sink) ?locate ?repair_planner cfg code
       ?locate transport
   in
   let recovery = Recovery.create ?planner:repair_planner ~code session in
+  let (module T : Transport.S) = transport in
   {
     cfg;
-    env = env_of_transport transport;
+    pfor = T.pfor;
     metrics;
     session;
     recovery;
     write_path = Write_path.create ~code ~recovery session;
     read_path = Read_path.create ~code ~recovery session;
-    gc = Gc.create ~recovery session;
+    gc = Gc_path.create ~recovery session;
   }
 
-let create cfg code env =
-  (* Legacy instrumentation: replay the note strings the pre-stack
-     client emitted, derived from the structured trace events. *)
-  let note_sink ctx event =
-    match Trace.legacy_note ctx event with Some s -> env.note s | None -> ()
-  in
-  let t = of_transport ~sink:note_sink cfg code (transport_of_env env) in
-  { t with env }
-
 let config t = t.cfg
-let env t = t.env
+let pfor t = t.pfor
 let metrics t = t.metrics
 let health t = Session.health t.session
 let read_verified t ~slot ~i = Read_path.read_verified t.read_path ~slot ~i
@@ -104,11 +53,11 @@ let read t ~slot ~i =
 
 let write t ~slot ~i v =
   let tid = Write_path.write t.write_path ~slot ~i v in
-  Gc.completed t.gc ~slot tid
+  Gc_path.completed t.gc ~slot tid
 
 let recover_slot ?delta t ~slot = Recovery.start ?delta t.recovery ~slot
-let collect_garbage t = Gc.collect t.gc
-let monitor_once t ~slots = Gc.monitor_once t.gc ~slots
+let collect_garbage t = Gc_path.collect t.gc
+let monitor_once t ~slots = Gc_path.monitor_once t.gc ~slots
 
 type slot_health = Read_path.slot_health = {
   sh_live : int;
@@ -132,7 +81,7 @@ let check_integrity t ~slot = Read_path.check_integrity t.read_path ~slot
 let note_repair t ~slot ~pos =
   let ctx = Session.new_ctx t.session Trace.Op_scrub ~slot in
   Session.emit t.session ctx (Trace.Integrity_repaired { pos })
-let pending_gc t = Gc.pending t.gc
+let pending_gc t = Gc_path.pending t.gc
 let writes_completed t = Metrics.counter t.metrics "op.write.count"
 
 let reads_completed t =

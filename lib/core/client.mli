@@ -5,9 +5,11 @@
     This module is a {e facade}: the protocol itself lives in the layer
     stack documented in DESIGN.md — {!Session} (RPC retry policy over a
     {!Transport.S}), {!Write_path} (Fig 5), {!Read_path} (Fig 4 and the
-    degraded-read extension), {!Recovery} (Fig 6), {!Gc} (Fig 7 and the
-    Sec 3.10 monitor) — instrumented through {!Trace} into a
-    {!Metrics.t} registry per client.
+    degraded-read extension), {!Recovery} (Fig 6), {!Gc_path} (Fig 7 and
+    the Sec 3.10 monitor) — instrumented through {!Trace} into a
+    {!Metrics.t} registry per client.  Events reach callers only as
+    structured {!Trace.event}s: through the [sink] given to
+    {!of_transport} and this client's {!metrics}.
 
     All storage interaction goes through a transport, so the same
     protocol code runs over the discrete-event simulator (see
@@ -20,37 +22,6 @@
     block; a WRITE is one [swap] round trip plus one [add] round trip per
     redundant node (batched according to the configured strategy), with
     no locks taken. *)
-
-type call_result = Transport.call_result
-(** Result of one transport RPC — see {!Transport.call_result} for the
-    timeout/fail-stop semantics and {!Session} for the retry policy
-    applied on top. *)
-
-(** Record form of {!Transport.S} kept for existing callers; [note] is
-    the legacy string event hook ("recovery.start", "rpc.retry", ...),
-    fed from the structured {!Trace} events. *)
-type env = {
-  client_id : int;
-      (** Identifies this client for tids and lock ownership. *)
-  call : slot:int -> pos:int -> Proto.request -> call_result;
-      (** Blocking RPC to the node serving stripe position [pos] of
-          stripe [slot]. *)
-  call_node : node:int -> Proto.request -> call_result;
-      (** Node-addressed RPC (monitoring probes). *)
-  broadcast :
-    (slot:int -> poss:int list -> Proto.request -> (int * call_result) list)
-    option;
-      (** One-send/many-receive (Sec 3.11); [None] if unavailable. *)
-  pfor : (unit -> unit) list -> unit;
-      (** Parallel-for: run thunks concurrently and wait for all (the
-          paper's [pfor]).  A sequential fallback is valid. *)
-  sleep : float -> unit;
-  now : unit -> float;
-  compute : float -> unit;
-      (** Charge local computation time (erasure-code arithmetic). *)
-  note : string -> unit;
-      (** Event hook for instrumentation ("recovery.start", ...). *)
-}
 
 type t
 
@@ -71,10 +42,6 @@ exception Write_abandoned of string
     recovery, which either completes it into the stripe or rolls it back
     — both legal for an unfinished write (Sec 3.1 regular semantics). *)
 
-val create : Config.t -> Rs_code.t -> env -> t
-(** The code must satisfy [Rs_code.k code = cfg.k] and
-    [Rs_code.n code = cfg.n].  @raise Invalid_argument otherwise. *)
-
 val of_transport :
   ?sink:Trace.sink ->
   ?locate:(slot:int -> pos:int -> int) ->
@@ -83,22 +50,21 @@ val of_transport :
   Rs_code.t ->
   Transport.t ->
   t
-(** Like {!create} but over a first-class transport module, with an
+(** Build a client over a first-class transport module, with an
     optional structured trace sink (composed with the client's own
-    metrics registry).  [locate] keys the session's failure detector by
-    logical member node (see {!Session.create}); environments that
-    rotate positions across stripes should pass their
-    {!Layout.node_of}. *)
-
-val transport_of_env : env -> Transport.t
-(** View an [env] record as a transport ([note] is dropped — it is a
-    trace concern, not a transport one). *)
-
-val env_of_transport : ?note:(string -> unit) -> Transport.t -> env
-(** Record view of a transport; [note] defaults to a no-op. *)
+    metrics registry).  The code must satisfy [Rs_code.k code = cfg.k]
+    and [Rs_code.n code = cfg.n].  [locate] keys the session's failure
+    detector by logical member node (see {!Session.create});
+    environments that rotate positions across stripes should pass their
+    {!Layout.node_of}.
+    @raise Invalid_argument if the code does not match [cfg]. *)
 
 val config : t -> Config.t
-val env : t -> env
+
+val pfor : t -> (unit -> unit) list -> unit
+(** The transport's parallel-for (the paper's [pfor]): run thunks
+    concurrently and wait for all.  Exposed for callers that fan one
+    request out over several stripes (see {!Volume}). *)
 
 val metrics : t -> Metrics.t
 (** This client's metrics registry (always present; fed by every

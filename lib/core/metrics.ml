@@ -130,7 +130,7 @@ let sink t (ctx : Trace.ctx) (event : Trace.event) =
     bump t (if delta then "repair.delta_hits" else "repair.full_rebuilds") 1;
     bump t "repair.bytes_read" bytes_read;
     bump t "repair.bytes_shipped" bytes_shipped
-  | Trace.Probe_result _ | Trace.Custom _ -> ()
+  | Trace.Probe_result _ -> ()
 
 let counter t key =
   match Hashtbl.find_opt t.counters key with

@@ -4,7 +4,7 @@
     backoff, idempotent resend on timeouts, node-liveness
     classification, trace-context allocation and event emission.  The
     protocol layers above ({!Write_path}, {!Read_path}, {!Recovery},
-    {!Gc}) never touch the transport directly.
+    {!Gc_path}) never touch the transport directly.
 
     What this layer owes its users:
 

@@ -106,25 +106,11 @@ type event =
       (** one slot repair completed: [delta] iff the stale member was
           caught up by shipping its missed adds rather than rebuilt from
           [k] full blocks; byte counts are protocol wire sizes *)
-  | Custom of string
 
 type sink = ctx -> event -> unit
 
 let null_sink _ _ = ()
 let compose sinks ctx event = List.iter (fun s -> s ctx event) sinks
-
-let legacy_note ctx = function
-  | Op_begin when ctx.kind = Op_recovery -> Some "recovery.start"
-  | Rpc_retry _ -> Some "rpc.retry"
-  | Write_give_up _ -> Some "write.giveup"
-  | Recovery_phase Ph_backoff -> Some "recovery.backoff"
-  | Recovery_phase Ph_adopt -> Some "recovery.adopt"
-  | Recovery_phase Ph_done -> Some "recovery.done"
-  | Recovery_phase _ -> None
-  | Integrity_detected _ -> Some "integrity.detected"
-  | Integrity_repaired _ -> Some "integrity.repaired"
-  | Custom s -> Some s
-  | _ -> None
 
 let swap_outcome_to_string = function
   | Sw_applied -> "applied"
@@ -169,7 +155,6 @@ let pp_event ppf = function
     Format.fprintf ppf "repair.%s read=%dB shipped=%dB"
       (if delta then "delta" else "full")
       bytes_read bytes_shipped
-  | Custom s -> Format.fprintf ppf "custom %s" s
 
 let event_to_string e = Format.asprintf "%a" pp_event e
 

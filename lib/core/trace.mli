@@ -4,8 +4,10 @@
     monitor pass, ...) is assigned a {!ctx} carrying a client-unique op
     id; every layer reports what it is doing as a typed {!event} against
     that context.  Events flow into a pluggable {!sink} — the metrics
-    registry ({!Metrics.sink}), the simulator's stats/note plumbing, or
-    a test harness recording the exact sequence.
+    registry ({!Metrics.sink}), a simulated cluster's event hooks, or a
+    test harness recording the exact sequence.  This is the one event
+    channel: every protocol event is counted by {!Metrics}, and there is
+    no second string-keyed rendering of it.
 
     What this layer owes its users: emitting an event has no protocol
     side effects (sinks must not call back into the stack), and under a
@@ -109,20 +111,11 @@ type event =
           for a full Fig 6 reconstruction; [bytes_read] / [bytes_shipped]
           are the protocol wire bytes the repair pulled from source
           members and pushed to rebuilt ones. *)
-  | Custom of string
-      (** Escape hatch for user instrumentation via [Client.env.note]. *)
 
 type sink = ctx -> event -> unit
 
 val null_sink : sink
 val compose : sink list -> sink
-
-val legacy_note : ctx -> event -> string option
-(** The pre-trace-layer note string for an event, for environments that
-    count events as flat strings: ["rpc.retry"], ["recovery.start"]
-    ([Op_begin] of a recovery op), ["recovery.backoff"],
-    ["recovery.adopt"], ["recovery.done"], ["write.giveup"], and
-    [Custom s] as [s]; [None] for events that had no legacy spelling. *)
 
 val pp_event : Format.formatter -> event -> unit
 (** Deterministic one-line rendering (requests via

@@ -27,13 +27,12 @@ let write t l v =
 
 let read_batch t ls =
   let results = Array.make (List.length ls) Bytes.empty in
-  (Client.env t.client).Client.pfor
+  Client.pfor t.client
     (List.mapi (fun idx l () -> results.(idx) <- read t l) ls);
   Array.to_list results
 
 let write_batch t entries =
-  (Client.env t.client).Client.pfor
-    (List.map (fun (l, v) () -> write t l v) entries)
+  Client.pfor t.client (List.map (fun (l, v) () -> write t l v) entries)
 
 let read_range t ~from_block ~count =
   if count < 0 then invalid_arg "Volume.read_range: negative count";

@@ -1,9 +1,10 @@
-(** Measurement plumbing: named counters and latency samples.
+(** Named counters for what the simulated substrate observes itself.
 
-    One [Stats.t] is shared by a whole simulated cluster; the RPC layer
-    counts messages and bytes into it and protocol/workload code records
-    per-operation latencies.  Everything Fig 1 and Sections 6.2-6.3 report
-    comes out of here. *)
+    One [Stats.t] is shared by a whole simulated cluster: the network
+    counts messages and bytes into it, and the fault layer counts the
+    faults it injects and the node-side detections it sees.  Protocol
+    events are not counted here — they are {!Trace} events counted by a
+    [Metrics] registry. *)
 
 type t
 
@@ -18,19 +19,5 @@ val add : t -> string -> float -> unit
 val counter : t -> string -> float
 (** Current value of a counter (0 if never touched). *)
 
-val record_latency : t -> string -> float -> unit
-(** Append a latency sample (seconds) to a named series. *)
-
-val latency_stats : t -> string -> (int * float * float * float * float) option
-(** [(count, mean, p50, p95, max)] of a series, or [None] if empty. *)
-
-val latencies : t -> string -> float list
-(** Raw samples, oldest first. *)
-
 val counters : t -> (string * float) list
 (** All counters, sorted by name. *)
-
-val reset : t -> unit
-
-val snapshot : t -> t
-(** Independent copy (for before/after deltas). *)

@@ -61,7 +61,7 @@ type t = {
   claims : (int, unit) Hashtbl.t; (* groups under repair/rebalance *)
   ilog : integrity_log;
   planners : (int * int, Repair_planner.t) Hashtbl.t; (* (id, group) *)
-  mutable note_hooks : (float -> string -> unit) list;
+  mutable event_hooks : Trace.sink; (* every on_event hook, newest first *)
   mutable pool_health_hooks :
     (now:float -> node:int -> state:Health.state -> unit) list;
 }
@@ -156,7 +156,7 @@ let create ?(net_config = Net.default_config) ?(rotate = true) ?(seed = 0xEC5)
     claims = Hashtbl.create 8;
     ilog;
     planners = Hashtbl.create 8;
-    note_hooks = [];
+    event_hooks = Trace.null_sink;
     pool_health_hooks = [];
   }
 
@@ -455,14 +455,12 @@ let set_pool_link_faults t ~client ~node f =
   Net.set_link_faults t.net ~src:(client_site client) ~dst:(pool_site node) f;
   Net.set_link_faults t.net ~src:(pool_site node) ~dst:(client_site client) f
 
-let note t event =
-  let key =
-    if String.starts_with ~prefix:"rpc." event then event else "note." ^ event
-  in
-  Stats.incr t.stats key;
-  List.iter (fun hook -> hook (Engine.now t.engine) event) t.note_hooks
-
-let on_note t hook = t.note_hooks <- hook :: t.note_hooks
+let on_event t hook =
+  let older = t.event_hooks in
+  t.event_hooks <-
+    (fun ctx event ->
+      hook ctx event;
+      older ctx event)
 
 let trace_sink t ~group:g ctx event =
   Metrics.sink t.groups.(g).g_metrics ctx event;
@@ -480,7 +478,7 @@ let trace_sink t ~group:g ctx event =
       | `Stale -> "integrity.client_stale"
       | `Checksum -> "integrity.client_detected")
   | _ -> ());
-  match Trace.legacy_note ctx event with Some s -> note t s | None -> ()
+  t.event_hooks ctx event
 
 let client_node t ~id =
   match Hashtbl.find_opt t.client_nodes id with

@@ -14,7 +14,13 @@
     fresh network node under the same site and remaps every hosted group
     member to a new generation with INIT slots, re-entering service
     through monitor-driven recovery (Sec 3.10, Fig 6).  A call that
-    raced a remap is transparently retried against the fresh entry. *)
+    raced a remap is transparently retried against the fresh entry.
+
+    Measurement: {!stats} holds what the network, the fault layer and
+    the integrity ledger count ([msgs], [bytes], [faults.*],
+    [integrity.*], [pool.*]); every protocol event is a {!Trace.event},
+    counted in the per-group registries ({!metrics}) and fanned out to
+    {!on_event} hooks. *)
 
 type t
 
@@ -190,8 +196,6 @@ val set_pool_link_faults :
     between a client and a pool node — the lever for lossy-but-alive
     (Suspect) nodes, as opposed to {!crash_node}'s fail-stop. *)
 
-val on_note : t -> (float -> string -> unit) -> unit
-
 val on_pool_health :
   t -> (now:float -> node:int -> state:Health.state -> unit) -> unit
 (** Subscribe to pool-level health events: whenever any group client's
@@ -202,6 +206,17 @@ val on_pool_health :
     the protocol (see {!Supervisor}). *)
 
 val trace_sink : t -> group:int -> Trace.sink
+(** The sink {!make_group_client} installs for [group]: feeds the
+    group's metrics registry (merged by {!metrics}), ledgers
+    client-side integrity detections, then runs every {!on_event}
+    hook. *)
+
+val on_event : t -> Trace.sink -> unit
+(** Subscribe to the structured protocol events of every group client
+    (e.g. [Recovery_phase Ph_done] when a repair finishes).  Hooks run
+    synchronously inside the emitting client, most recently added
+    first, and must not call back into the protocol stack; read the
+    simulated time with {!now}. *)
 
 val transport : t -> id:int -> group:int -> Transport.t
 (** Transport for client [id] addressing one group.  All groups of one

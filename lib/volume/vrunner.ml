@@ -51,16 +51,6 @@ let fresh_tag () =
   incr next_tag;
   !next_tag
 
-let percentile q samples =
-  match samples with
-  | [] -> 0.
-  | _ ->
-    let arr = Array.of_list samples in
-    Array.sort compare arr;
-    let n = Array.length arr in
-    let idx = int_of_float (ceil (q *. float_of_int n)) - 1 in
-    arr.(max 0 (min (n - 1) idx))
-
 type counters = {
   mutable c_read_ops : int;
   mutable c_write_ops : int;
@@ -234,70 +224,20 @@ let run ?(outstanding = 8) ?(warmup = 0.05) ?(events = []) ?faults
           gc_loop ())
   done;
   let stats = Shard_cluster.stats sc in
-  let phase_keys =
-    List.map
-      (fun p -> "recovery.phase." ^ Trace.recovery_phase_to_string p)
-      Trace.all_recovery_phases
-  in
-  let metric_keys =
-    [
-      "rpc.retries";
-      "rpc.giveups";
-      "write.giveups";
-      "read.hedges";
-      "read.hedge_wins";
-      "session.fast_fails";
-      "health.to_down";
-      "repair.delta_hits";
-      "repair.full_rebuilds";
-      "repair.bytes_read";
-      "repair.bytes_shipped";
-    ]
-    @ phase_keys
-  in
-  let before =
-    let m = Shard_cluster.metrics sc in
-    List.map (fun key -> (key, Metrics.counter m key)) metric_keys
-  in
-  let msgs_before = Stats.counter stats "msgs" in
-  let recov_before = Stats.counter stats "note.recovery.done" in
+  let mark = Report.mark (Shard_cluster.metrics sc) stats in
   Shard_cluster.run sc;
   let after = Shard_cluster.metrics sc in
-  let delta key = Metrics.counter after key - List.assoc key before in
-  let msgs = Stats.counter stats "msgs" -. msgs_before in
-  let recoveries = Stats.counter stats "note.recovery.done" -. recov_before in
-  let mb ops = float_of_int (ops * block_size) /. 1.0e6 /. duration in
-  let run =
-    {
-      Report.duration;
-      clients;
-      outstanding;
-      read_ops = ctr.c_read_ops;
-      write_ops = ctr.c_write_ops;
-      read_mbs = mb ctr.c_read_ops;
-      write_mbs = mb ctr.c_write_ops;
-      total_mbs = mb (ctr.c_read_ops + ctr.c_write_ops);
-      read_latency =
-        (if ctr.c_read_ops = 0 then 0.
-         else ctr.c_read_lat /. float_of_int ctr.c_read_ops);
-      write_latency =
-        (if ctr.c_write_ops = 0 then 0.
-         else ctr.c_write_lat /. float_of_int ctr.c_write_ops);
-      msgs;
-      recoveries;
-      rpc_retries = delta "rpc.retries";
-      rpc_giveups = delta "rpc.giveups";
-      write_giveups = delta "write.giveups";
-      recovery_phases =
-        List.filter_map
-          (fun key -> match delta key with 0 -> None | n -> Some (key, n))
-          phase_keys;
-    }
+  let delta = Report.delta mark after in
+  let run, failures =
+    Report.measure mark after stats ~duration ~clients ~outstanding
+      ~block_size ~read_ops:ctr.c_read_ops ~write_ops:ctr.c_write_ops
+      ~read_lat:ctr.c_read_lat ~write_lat:ctr.c_write_lat
+      ~abandoned:ctr.abandoned ~stuck:ctr.stalls
   in
   {
     run;
-    p99_read = percentile 0.99 ctr.read_samples;
-    p99_write = percentile 0.99 ctr.write_samples;
+    p99_read = Report.percentile 0.99 ctr.read_samples;
+    p99_write = Report.percentile 0.99 ctr.write_samples;
     write_stalls = ctr.stalls;
     maintenance_passes =
       (match maint with Some m -> Maintenance.passes m | None -> 0);
@@ -309,15 +249,7 @@ let run ?(outstanding = 8) ?(warmup = 0.05) ?(events = []) ?faults
       (match maint with Some m -> Maintenance.recoveries m | None -> 0);
     maintenance_backoffs =
       (match maint with Some m -> Maintenance.backoffs m | None -> 0);
-    failures =
-      {
-        Report.write_abandoned = ctr.abandoned;
-        write_stuck = ctr.stalls;
-        hedges = delta "read.hedges";
-        hedge_wins = delta "read.hedge_wins";
-        fast_fails = delta "session.fast_fails";
-        quarantines = delta "health.to_down";
-      };
+    failures;
     supervisor_failovers =
       (match sup with Some s -> Supervisor.failovers s | None -> 0);
     supervisor_repairs =
@@ -592,8 +524,8 @@ let run_profile ?(warmup = 0.05) ?(events = []) ?(blocks = 256) ~sc ~tenants
           tr_drops = c.t_drops;
           tr_stalls = c.t_stalls;
           tr_mean = mean c.t_samples;
-          tr_p50 = percentile 0.5 c.t_samples;
-          tr_p99 = percentile 0.99 c.t_samples;
+          tr_p50 = Report.percentile 0.5 c.t_samples;
+          tr_p99 = Report.percentile 0.99 c.t_samples;
           tr_mbs = mbs (c.t_read_blocks + c.t_write_blocks);
         })
       ctrs
@@ -612,8 +544,8 @@ let run_profile ?(warmup = 0.05) ?(events = []) ?(blocks = 256) ~sc ~tenants
            ( size,
              {
                ss_reqs = reqs;
-               ss_p50 = percentile 0.5 lats;
-               ss_p99 = percentile 0.99 lats;
+               ss_p50 = Report.percentile 0.5 lats;
+               ss_p99 = Report.percentile 0.99 lats;
                ss_mbs = mbs (reqs * size);
              } ))
   in
@@ -630,10 +562,10 @@ let run_profile ?(warmup = 0.05) ?(events = []) ?(blocks = 256) ~sc ~tenants
     pf_write_reqs = sum (fun c -> c.t_write_reqs);
     pf_read_mbs = mbs (sum (fun c -> c.t_read_blocks));
     pf_write_mbs = mbs (sum (fun c -> c.t_write_blocks));
-    pf_p50_read = percentile 0.5 all_reads;
-    pf_p50_write = percentile 0.5 all_writes;
-    pf_p99_read = percentile 0.99 all_reads;
-    pf_p99_write = percentile 0.99 all_writes;
+    pf_p50_read = Report.percentile 0.5 all_reads;
+    pf_p50_write = Report.percentile 0.5 all_writes;
+    pf_p99_read = Report.percentile 0.99 all_reads;
+    pf_p99_write = Report.percentile 0.99 all_writes;
     pf_drops = sum (fun c -> c.t_drops);
     pf_stalls = sum (fun c -> c.t_stalls);
     pf_mean_inflight =

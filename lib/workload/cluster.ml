@@ -15,7 +15,7 @@ type t = {
   client_nodes : (int, Net.node) Hashtbl.t;
   metrics : Metrics.t; (* shared across every client of this cluster *)
   injector : Injector.t; (* replayable corruption-pattern source *)
-  mutable note_hooks : (float -> string -> unit) list;
+  mutable event_hooks : Trace.sink; (* every on_event hook, newest first *)
 }
 
 (* Service times at a storage node beyond the generic per-message RPC
@@ -117,7 +117,7 @@ let create ?(net_config = Net.default_config) ?(rotate = true) ?(seed = 0xEC5)
     client_nodes = Hashtbl.create 8;
     metrics = Metrics.create ();
     injector = Injector.create ~seed:(seed lxor 0x1C4B5);
-    note_hooks = [];
+    event_hooks = Trace.null_sink;
   }
 
 let engine t = t.engine
@@ -216,8 +216,6 @@ let rollback_block t ~node ~slot snap =
   if hit then Stats.incr t.stats "faults.rollback_injected";
   hit
 
-let on_note t hook = t.note_hooks <- hook :: t.note_hooks
-
 let client_node t ~id =
   match Hashtbl.find_opt t.client_nodes id with
   | Some n -> n
@@ -288,23 +286,18 @@ let rec rpc_to_logical ?deadline t ~id ~src ~lnode ~slot req ~attempts =
           ~attempts:(attempts + 1)
       end)
 
-(* Legacy string-event hook: the pre-stack client called [env.note]
-   directly; the stack now emits structured trace events and this
-   replays the historical strings so Stats counters ("rpc.retry",
-   "note.recovery.done", ...) and {!on_note} subscribers are
-   unaffected by the refactor. *)
-let note t event =
-  let key =
-    if String.starts_with ~prefix:"rpc." event then event else "note." ^ event
-  in
-  Stats.incr t.stats key;
-  List.iter (fun hook -> hook (Engine.now t.engine) event) t.note_hooks
-
 let metrics t = t.metrics
+
+let on_event t hook =
+  let older = t.event_hooks in
+  t.event_hooks <-
+    (fun ctx event ->
+      hook ctx event;
+      older ctx event)
 
 let trace_sink t ctx event =
   Metrics.sink t.metrics ctx event;
-  match Trace.legacy_note ctx event with Some s -> note t s | None -> ()
+  t.event_hooks ctx event
 
 let transport t ~id : Transport.t =
   let src = client_node t ~id in
@@ -376,8 +369,6 @@ let transport t ~id : Transport.t =
       check_alive ();
       Net.cpu_use src seconds
   end : Transport.S)
-
-let client_env t ~id = Client.env_of_transport ~note:(note t) (transport t ~id)
 
 let make_client t ~id =
   Client.of_transport ~sink:(trace_sink t)

@@ -16,7 +16,13 @@
     jitter via {!set_faults} / {!set_storage_link_faults}, one-way
     partitions via {!partition_oneway}, and crash/restart schedules via
     {!schedule_outage}.  All randomness draws from the cluster's seeded
-    engine, so a failing run replays exactly from its seed. *)
+    engine, so a failing run replays exactly from its seed.
+
+    Measurement has two homes, split by who observes the event:
+    {!stats} holds what the network and the fault layer count themselves
+    ([msgs], [bytes], [rpc.timeout], [faults.*], [integrity.node_*]);
+    every protocol event is a {!Trace.event}, counted in the shared
+    {!metrics} registry and fanned out to {!on_event} hooks. *)
 
 exception Client_crashed of int
 
@@ -58,20 +64,21 @@ val transport : t -> id:int -> Transport.t
     signature {!Direct_env} implements, so protocol code cannot tell the
     simulator from the in-process harness. *)
 
-val client_env : t -> id:int -> Client.env
-(** Record view of {!transport} with the legacy [note] hook wired to
-    {!stats} and {!on_note} (kept for existing callers; note that a
-    client built from this env gets only its own metrics registry, not
-    the cluster's shared one). *)
-
 val metrics : t -> Metrics.t
 (** Shared metrics registry fed by every client built with
     {!make_client} / {!make_volume}: per-op counts and latencies, RPC
     retries/give-ups, recovery phase transitions, GC batches. *)
 
 val trace_sink : t -> Trace.sink
-(** The sink {!make_client} installs: feeds {!metrics} and replays
-    legacy note strings into {!stats} / {!on_note}. *)
+(** The sink {!make_client} installs: feeds {!metrics}, then every
+    {!on_event} hook. *)
+
+val on_event : t -> Trace.sink -> unit
+(** Subscribe to the structured protocol events of every client built
+    with {!make_client} / {!make_volume} (e.g. [Recovery_phase Ph_done]
+    on an [Op_recovery] context).  Hooks run synchronously inside the
+    emitting client, most recently added first, and must not call back
+    into the protocol stack; read the simulated time with {!now}. *)
 
 val make_client : t -> id:int -> Client.t
 val make_volume : t -> id:int -> Volume.t
@@ -155,7 +162,3 @@ val rollback_block : t -> node:int -> slot:int -> block_snapshot -> bool
 (** Stale-but-well-formed fault: restore the captured block + record.
     Internally consistent, so only the epoch check (if recovery
     finalized in between) or the cross-member decode check can see it. *)
-
-val on_note : t -> (float -> string -> unit) -> unit
-(** Subscribe to client protocol events ("recovery.start", ...); also
-    counted in {!stats} under ["note.<event>"]. *)

@@ -48,6 +48,75 @@ let no_failures =
     quarantines = 0;
   }
 
+(* ------------------------------------------------------------------ *)
+(* Measured windows.  Both runners read a run's protocol counters as
+   deltas of the cluster's Metrics registry across the window, and its
+   message count as a delta of the simulator's Stats. *)
+
+type mark = { m_counters : (string * int) list; m_msgs : float }
+
+let mark metrics stats =
+  { m_counters = Metrics.counters metrics; m_msgs = Stats.counter stats "msgs" }
+
+let delta mark metrics key =
+  Metrics.counter metrics key
+  - Option.value (List.assoc_opt key mark.m_counters) ~default:0
+
+let phase_keys =
+  List.map
+    (fun p -> "recovery.phase." ^ Trace.recovery_phase_to_string p)
+    Trace.all_recovery_phases
+
+let measure mark metrics stats ~duration ~clients ~outstanding ~block_size
+    ~read_ops ~write_ops ~read_lat ~write_lat ~abandoned ~stuck =
+  let delta = delta mark metrics in
+  let mb ops = float_of_int (ops * block_size) /. 1.0e6 /. duration in
+  let mean total ops = if ops = 0 then 0. else total /. float_of_int ops in
+  let run =
+    {
+      duration;
+      clients;
+      outstanding;
+      read_ops;
+      write_ops;
+      read_mbs = mb read_ops;
+      write_mbs = mb write_ops;
+      total_mbs = mb (read_ops + write_ops);
+      read_latency = mean read_lat read_ops;
+      write_latency = mean write_lat write_ops;
+      msgs = Stats.counter stats "msgs" -. mark.m_msgs;
+      recoveries = float_of_int (delta "recovery.phase.done");
+      rpc_retries = delta "rpc.retries";
+      rpc_giveups = delta "rpc.giveups";
+      write_giveups = delta "write.giveups";
+      recovery_phases =
+        List.filter_map
+          (fun key -> match delta key with 0 -> None | n -> Some (key, n))
+          phase_keys;
+    }
+  in
+  let failures =
+    {
+      write_abandoned = abandoned;
+      write_stuck = stuck;
+      hedges = delta "read.hedges";
+      hedge_wins = delta "read.hedge_wins";
+      fast_fails = delta "session.fast_fails";
+      quarantines = delta "health.to_down";
+    }
+  in
+  (run, failures)
+
+let percentile q samples =
+  match samples with
+  | [] -> 0.
+  | _ ->
+    let arr = Array.of_list samples in
+    Array.sort compare arr;
+    let n = Array.length arr in
+    let idx = int_of_float (ceil (q *. float_of_int n)) - 1 in
+    arr.(max 0 (min (n - 1) idx))
+
 let phase_suffix key =
   match String.rindex_opt key '.' with
   | Some dot -> String.sub key (dot + 1) (String.length key - dot - 1)

@@ -39,6 +39,45 @@ type failures = {
 
 val no_failures : failures
 
+(** {1 Measured windows}
+
+    Both runners ({!Runner.run} and the sharded-volume runner) derive a
+    run's protocol counters the same way: as deltas of the cluster's
+    {!Metrics} registry across the measured window.  The window's
+    message count is the delta of the simulator's [msgs] counter. *)
+
+type mark
+(** Counter readings taken when a window opens. *)
+
+val mark : Metrics.t -> Stats.t -> mark
+
+val delta : mark -> Metrics.t -> string -> int
+(** [delta m metrics key]: how much counter [key] grew since [m]. *)
+
+val measure :
+  mark ->
+  Metrics.t ->
+  Stats.t ->
+  duration:float ->
+  clients:int ->
+  outstanding:int ->
+  block_size:int ->
+  read_ops:int ->
+  write_ops:int ->
+  read_lat:float ->
+  write_lat:float ->
+  abandoned:int ->
+  stuck:int ->
+  run * failures
+(** Close a window: the run record and its failure accounting from the
+    caller's in-window tallies ([read_lat] / [write_lat] are summed
+    latencies, in seconds) plus the Metrics/Stats deltas since the
+    mark.  [recoveries] is the [recovery.phase.done] delta. *)
+
+val percentile : float -> float list -> float
+(** [percentile q samples]: nearest-rank percentile (the
+    [ceil (q * n)]-th smallest sample); 0 for an empty sample. *)
+
 val print_run : label:string -> run -> unit
 (** The classic two-line run summary (second line only when retries,
     give-ups or recovery phases occurred). *)

@@ -186,70 +186,16 @@ let run ?(outstanding = 8) ?(warmup = 0.05) ?(events = []) ?faults ?on_sample
           end
         in
         sample ()));
-  let stats = Cluster.stats cluster in
-  let metrics = Cluster.metrics cluster in
-  let phase_keys =
-    List.map
-      (fun p -> "recovery.phase." ^ Trace.recovery_phase_to_string p)
-      Trace.all_recovery_phases
-  in
-  let metric_keys =
-    [
-      "rpc.retries";
-      "rpc.giveups";
-      "write.giveups";
-      "read.hedges";
-      "read.hedge_wins";
-      "session.fast_fails";
-      "health.to_down";
-    ]
-    @ phase_keys
-  in
-  let before = List.map (fun key -> (key, Metrics.counter metrics key)) metric_keys in
-  let msgs_before = Stats.counter stats "msgs" in
-  let recov_before = Stats.counter stats "note.recovery.done" in
+  let metrics = Cluster.metrics cluster and stats = Cluster.stats cluster in
+  let mark = Report.mark metrics stats in
   Cluster.run cluster;
-  let delta key = Metrics.counter metrics key - List.assoc key before in
-  (match failures with
-  | None -> ()
-  | Some out ->
-    out :=
-      {
-        Report.write_abandoned = ctr.abandoned;
-        write_stuck = ctr.stalls;
-        hedges = delta "read.hedges";
-        hedge_wins = delta "read.hedge_wins";
-        fast_fails = delta "session.fast_fails";
-        quarantines = delta "health.to_down";
-      });
-  let msgs = Stats.counter stats "msgs" -. msgs_before in
-  let recoveries = Stats.counter stats "note.recovery.done" -. recov_before in
-  let mb ops = float_of_int (ops * block_size) /. 1.0e6 /. duration in
-  {
-    duration;
-    clients;
-    outstanding;
-    read_ops = ctr.c_read_ops;
-    write_ops = ctr.c_write_ops;
-    read_mbs = mb ctr.c_read_ops;
-    write_mbs = mb ctr.c_write_ops;
-    total_mbs = mb (ctr.c_read_ops + ctr.c_write_ops);
-    read_latency =
-      (if ctr.c_read_ops = 0 then 0.
-       else ctr.c_read_lat /. float_of_int ctr.c_read_ops);
-    write_latency =
-      (if ctr.c_write_ops = 0 then 0.
-       else ctr.c_write_lat /. float_of_int ctr.c_write_ops);
-    msgs;
-    recoveries;
-    rpc_retries = delta "rpc.retries";
-    rpc_giveups = delta "rpc.giveups";
-    write_giveups = delta "write.giveups";
-    recovery_phases =
-      List.filter_map
-        (fun key ->
-          match delta key with 0 -> None | n -> Some (key, n))
-        phase_keys;
-  }
+  let run, failed =
+    Report.measure mark metrics stats ~duration ~clients ~outstanding
+      ~block_size ~read_ops:ctr.c_read_ops ~write_ops:ctr.c_write_ops
+      ~read_lat:ctr.c_read_lat ~write_lat:ctr.c_write_lat
+      ~abandoned:ctr.abandoned ~stuck:ctr.stalls
+  in
+  Option.iter (fun out -> out := failed) failures;
+  run
 
 let print_result label r = Report.print_run ~label r

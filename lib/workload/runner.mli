@@ -15,7 +15,9 @@ type result = Report.run = {
   read_latency : float;    (** mean, seconds; 0 if no reads *)
   write_latency : float;
   msgs : float;            (** messages during the window *)
-  recoveries : float;      (** recoveries completed during the window *)
+  recoveries : float;
+      (** recoveries completed over the run: the [recovery.phase.done]
+          delta of the cluster's {!Metrics.t} *)
   rpc_retries : int;       (** RPC resends after a timeout (whole run) *)
   rpc_giveups : int;       (** RPCs whose retry budget drained *)
   write_giveups : int;     (** writes abandoned on an ambiguous swap *)

@@ -302,7 +302,7 @@ let test_write_ordering_same_block_preserves_code () =
   Alcotest.(check bytes) "redundant decode matches data" (stripe_block 0)
     from_redundant.(0)
 
-let test_stats_note_recovery_free_run () =
+let test_recovery_free_run () =
   (* Failure-free runs must never trigger recovery. *)
   let cluster = Cluster.create (default_cfg ()) in
   let client = Cluster.make_client cluster ~id:0 in
@@ -310,8 +310,22 @@ let test_stats_note_recovery_free_run () =
       for i = 0 to 1 do
         Client.write client ~slot:0 ~i (block_of cluster 'n')
       done);
-  Alcotest.(check (float 0.01)) "no recovery" 0.
-    (Stats.counter (Cluster.stats cluster) "note.recovery.start")
+  Alcotest.(check int) "no recovery" 0
+    (Cluster_metrics.recovery_activity cluster)
+
+let test_of_transport_rejects_mismatched_code () =
+  (* The code's k/n must match the configuration the client runs. *)
+  let cfg = Config.make ~t_p:1 ~block_size:64 ~k:3 ~n:5 () in
+  let transport = Direct_env.transport (Direct_env.create cfg) ~id:0 in
+  let rejected code =
+    Alcotest.check_raises "rejected"
+      (Invalid_argument
+         "Client.of_transport: code does not match configuration")
+      (fun () -> ignore (Client.of_transport cfg code transport))
+  in
+  rejected (Rs_code.create ~k:2 ~n:5 ());
+  rejected (Rs_code.create ~k:3 ~n:6 ());
+  ignore (Client.of_transport cfg (Rs_code.create ~k:3 ~n:5 ()) transport)
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
@@ -332,5 +346,7 @@ let suite =
       t "volume range I/O" test_volume_range_io;
       t "gc empties recent/old lists" test_gc_clears_recentlists;
       t "same-block ordering preserves decodability" test_write_ordering_same_block_preserves_code;
-      t "no recovery in failure-free runs" test_stats_note_recovery_free_run;
+      t "no recovery in failure-free runs" test_recovery_free_run;
+      t "of_transport rejects a mismatched code"
+        test_of_transport_rejects_mismatched_code;
     ] )

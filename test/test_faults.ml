@@ -211,11 +211,12 @@ let test_cluster_retry_under_loss () =
     (Stats.counter stats "faults.dropped" > 0.);
   Alcotest.(check bool)
     "client retried after timeouts" true
-    (Stats.counter stats "rpc.retry" > 0.)
+    (Metrics.counter (Cluster.metrics cluster) "rpc.retries" > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Determinism: same seed + same fault spec => byte-identical stats and
-   note trace across two independent runs. *)
+(* Determinism: same seed + same fault spec => byte-identical stats,
+   metrics and timestamped event transcript across two independent
+   runs. *)
 
 let faulty_run seed =
   let cfg =
@@ -223,8 +224,10 @@ let faulty_run seed =
   in
   let cluster = Cluster.create ~seed ~faults:lossy cfg in
   let trace = Buffer.create 256 in
-  Cluster.on_note cluster (fun now event ->
-      Buffer.add_string trace (Printf.sprintf "%.9f %s\n" now event));
+  Cluster.on_event cluster (fun ctx event ->
+      Buffer.add_string trace
+        (Format.asprintf "%.9f %a %a\n" (Cluster.now cluster) Trace.pp_ctx ctx
+           Trace.pp_event event));
   let ck = Checker.create () in
   let result =
     Runner.run ~outstanding:2 ~warmup:0.0 ~check:ck ~cluster ~clients:2
@@ -237,25 +240,26 @@ let faulty_run seed =
   | Error violations ->
     Alcotest.failf "seed %d: %d violations" seed (List.length violations));
   let counters =
-    Stats.counters (Cluster.stats cluster)
+    (Stats.counters (Cluster.stats cluster)
     |> List.map (fun (name, v) -> Printf.sprintf "%s=%.6f" name v)
-    |> String.concat "\n"
+    |> String.concat "\n")
+    ^ Metrics.to_json (Cluster.metrics cluster)
   in
   ( counters,
     Buffer.contents trace,
     result.Runner.read_ops,
-    result.Runner.write_ops )
+    result.Runner.write_ops,
+    result.Runner.rpc_retries )
 
 let test_seed_replay_determinism () =
-  let c1, t1, r1, w1 = faulty_run 1234 in
-  let c2, t2, r2, w2 = faulty_run 1234 in
+  let c1, t1, r1, w1, retries = faulty_run 1234 in
+  let c2, t2, r2, w2, _ = faulty_run 1234 in
   Alcotest.(check string) "identical counters" c1 c2;
-  Alcotest.(check string) "identical note trace" t1 t2;
+  Alcotest.(check string) "identical event transcript" t1 t2;
   Alcotest.(check int) "identical read count" r1 r2;
   Alcotest.(check int) "identical write count" w1 w2;
   (* The run actually exercised the fault machinery. *)
-  Alcotest.(check bool) "faults fired" true
-    (String.length t1 > 0 && r1 + w1 > 0)
+  Alcotest.(check bool) "faults fired" true (retries > 0 && r1 + w1 > 0)
 
 let suite =
   ( "faults",

@@ -42,7 +42,7 @@ let test_storage_crash_then_read () =
   Alcotest.(check bool) "consistent after recovery" true
     (stripe_consistent cluster ~slot:0);
   Alcotest.(check bool) "recovery ran" true
-    (Stats.counter (Cluster.stats cluster) "note.recovery.done" >= 1.)
+    (Cluster_metrics.recoveries_done cluster >= 1)
 
 let test_storage_crash_then_write () =
   (* Crash the data node; a write to that block must recover and then
@@ -70,8 +70,8 @@ let test_redundant_node_crash () =
       (* Read does not touch redundant nodes. *)
       Alcotest.(check bytes) "read ok" (block_of cluster 'r')
         (Client.read client ~slot:0 ~i:0);
-      Alcotest.(check (float 0.01)) "no recovery for reads" 0.
-        (Stats.counter (Cluster.stats cluster) "note.recovery.start");
+      Alcotest.(check int) "no recovery for reads" 0
+        (Cluster_metrics.recovery_activity cluster);
       Client.write client ~slot:0 ~i:1 (block_of cluster 's');
       Alcotest.(check bytes) "write landed" (block_of cluster 's')
         (Client.read client ~slot:0 ~i:1));
@@ -273,8 +273,8 @@ let test_monitor_detects_init_node () =
       (* The INIT slot materializes when anything touches it; monitor
          relies on recovery triggered via directory-generation change,
          which the Volume monitor performs.  Here we poke it. *)
-      (match (Client.env m).Client.call ~slot:0 ~pos:0 Proto.Read with
-      | Ok _ | Error _ -> ());
+      let (module T : Transport.S) = Cluster.transport cluster ~id:1 in
+      (match T.call ~slot:0 ~pos:0 Proto.Read with Ok _ | Error _ -> ());
       Client.monitor_once m ~slots:[ 0 ]);
   Alcotest.(check bool) "repaired via monitor" true
     (stripe_consistent cluster ~slot:0);
@@ -359,7 +359,7 @@ let test_takeover_under_chaos () =
     | Some s -> ( try int_of_string s with _ -> 0)
     | None -> 0
   in
-  let adopts = ref 0. in
+  let adopts = ref 0 in
   List.iter
     (fun seed ->
       let seed = seed + seed_offset in
@@ -414,9 +414,9 @@ let test_takeover_under_chaos () =
         true
         (stripe_consistent cluster ~slot:0);
       adopts :=
-        !adopts +. Stats.counter (Cluster.stats cluster) "note.recovery.adopt")
+        !adopts + Cluster_metrics.counter cluster "recovery.phase.adopt")
     [ 1; 2; 3; 4; 5; 6 ];
-  Alcotest.(check bool) "adopt path exercised across seeds" true (!adopts >= 1.)
+  Alcotest.(check bool) "adopt path exercised across seeds" true (!adopts >= 1)
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in

@@ -90,8 +90,8 @@ let test_degraded_read_with_dead_data_node () =
   (match v with
   | Some b -> Alcotest.(check bytes) "decoded" (block_of cluster 'd') b
   | None -> Alcotest.fail "degraded read failed");
-  Alcotest.(check (float 0.01)) "no recovery ran" 0.
-    (Stats.counter (Cluster.stats cluster) "note.recovery.start")
+  Alcotest.(check int) "no recovery ran" 0
+    (Cluster_metrics.recovery_activity cluster)
 
 let test_degraded_read_fast_path () =
   (* When the data node is fine, degraded read returns its block without
@@ -155,8 +155,8 @@ let test_scrub_healthy_cluster () =
   Alcotest.(check int) "scanned" 3 report.Scrub.scanned;
   Alcotest.(check int) "all healthy" 3 report.Scrub.healthy;
   Alcotest.(check int) "nothing repaired" 0 report.Scrub.repaired;
-  Alcotest.(check (float 0.01)) "no recovery" 0.
-    (Stats.counter (Cluster.stats cluster) "note.recovery.start")
+  Alcotest.(check int) "no recovery" 0
+    (Cluster_metrics.recovery_activity cluster)
 
 let test_scrub_repairs_after_crash () =
   let cluster = Cluster.create (cfg_3_5 ()) in

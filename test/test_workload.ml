@@ -106,35 +106,35 @@ let test_generator_trace_replay () =
 
 let default_cfg () = Config.make ~t_p:1 ~block_size:64 ~k:2 ~n:4 ()
 
-let test_cluster_client_env_calls () =
+let test_cluster_transport_calls () =
   let cluster = Cluster.create (default_cfg ()) in
-  let env = Cluster.client_env cluster ~id:0 in
+  let (module T : Transport.S) = Cluster.transport cluster ~id:0 in
   let got = ref None in
   Cluster.spawn cluster (fun () ->
-      got := Some (env.Client.call ~slot:0 ~pos:0 Proto.Read));
+      got := Some (T.call ~slot:0 ~pos:0 Proto.Read));
   Cluster.run cluster;
   match !got with
   | Some (Ok (Proto.R_read { block = Some _; _ })) -> ()
-  | _ -> Alcotest.fail "env call failed"
+  | _ -> Alcotest.fail "transport call failed"
 
 let test_cluster_crashed_client_raises () =
   let cluster = Cluster.create (default_cfg ()) in
-  let env = Cluster.client_env cluster ~id:0 in
+  let (module T : Transport.S) = Cluster.transport cluster ~id:0 in
   Cluster.crash_client cluster 0;
   let raised = ref false in
   Cluster.spawn cluster (fun () ->
-      try ignore (env.Client.call ~slot:0 ~pos:0 Proto.Read)
+      try ignore (T.call ~slot:0 ~pos:0 Proto.Read)
       with Cluster.Client_crashed 0 -> raised := true);
   Cluster.run cluster;
   Alcotest.(check bool) "raised" true !raised
 
 let test_cluster_auto_remap () =
   let cluster = Cluster.create (default_cfg ()) in
-  let env = Cluster.client_env cluster ~id:0 in
+  let (module T : Transport.S) = Cluster.transport cluster ~id:0 in
   Cluster.crash_storage cluster 0;
   let got = ref None in
   Cluster.spawn cluster (fun () ->
-      got := Some (env.Client.call ~slot:0 ~pos:0 Proto.Read));
+      got := Some (T.call ~slot:0 ~pos:0 Proto.Read));
   Cluster.run cluster;
   (* Auto remap: the call reaches a fresh INIT node rather than failing. *)
   (match !got with
@@ -149,13 +149,13 @@ let test_cluster_manual_crash_window_is_timeout () =
      `Node_down` — the request may have executed before the crash, and
      only the retry layer can resolve the ambiguity by resending. *)
   let cluster = Cluster.create ~remap_policy:`Manual (default_cfg ()) in
-  let env = Cluster.client_env cluster ~id:0 in
+  let (module T : Transport.S) = Cluster.transport cluster ~id:0 in
   Cluster.crash_storage cluster 0;
   let got = ref None in
   let elapsed = ref 0. in
   Cluster.spawn cluster (fun () ->
       let t0 = Fiber.now () in
-      got := Some (env.Client.call ~slot:0 ~pos:0 Proto.Read);
+      got := Some (T.call ~slot:0 ~pos:0 Proto.Read);
       elapsed := Fiber.now () -. t0);
   Cluster.run cluster;
   (match !got with
@@ -190,11 +190,11 @@ let test_cluster_manual_write_completes_after_restart () =
 let test_cluster_pfor_parallel_timing () =
   (* pfor really is parallel: 4 sleeps of 10 ms take ~10 ms, not 40. *)
   let cluster = Cluster.create (default_cfg ()) in
-  let env = Cluster.client_env cluster ~id:0 in
+  let (module T : Transport.S) = Cluster.transport cluster ~id:0 in
   let elapsed = ref 0. in
   Cluster.spawn cluster (fun () ->
       let t0 = Fiber.now () in
-      env.Client.pfor (List.init 4 (fun _ () -> Fiber.sleep 0.01));
+      T.pfor (List.init 4 (fun _ () -> Fiber.sleep 0.01));
       elapsed := Fiber.now () -. t0);
   Cluster.run cluster;
   Alcotest.(check bool)
@@ -202,21 +202,27 @@ let test_cluster_pfor_parallel_timing () =
     true
     (!elapsed < 0.015)
 
-let test_cluster_note_hooks () =
+let test_cluster_event_hooks () =
   let cfg = Config.make ~t_p:1 ~block_size:64 ~k:3 ~n:5 () in
   let cluster = Cluster.create cfg in
   let events = ref [] in
-  Cluster.on_note cluster (fun _ e -> events := e :: !events);
+  Cluster.on_event cluster (fun ctx e ->
+      events := (ctx.Trace.kind, e) :: !events);
   let client = Cluster.make_client cluster ~id:0 in
   Cluster.spawn cluster (fun () ->
       Client.write client ~slot:0 ~i:0 (Bytes.make 64 'x');
       Cluster.crash_and_remap_storage cluster 0;
       ignore (Client.read client ~slot:0 ~i:0));
   Cluster.run cluster;
-  Alcotest.(check bool) "saw recovery.start" true
-    (List.mem "recovery.start" !events);
-  Alcotest.(check bool) "saw recovery.done" true
-    (List.mem "recovery.done" !events)
+  Alcotest.(check bool) "saw a recovery begin" true
+    (List.mem (Trace.Op_recovery, Trace.Op_begin) !events);
+  Alcotest.(check bool) "saw a recovery finish" true
+    (List.mem (Trace.Op_recovery, Trace.Recovery_phase Trace.Ph_done) !events);
+  (* The hooks see exactly what the shared registry counts. *)
+  let count p = List.length (List.filter p !events) in
+  Alcotest.(check int) "hook and Metrics agree on recoveries"
+    (Metrics.counter (Cluster.metrics cluster) "recovery.phase.done")
+    (count (fun (_, e) -> e = Trace.Recovery_phase Trace.Ph_done))
 
 let test_cluster_deterministic () =
   let run () =
@@ -271,6 +277,44 @@ let test_runner_events_fire () =
        ~workload:(Generator.Write_only { blocks = 8 })
        ());
   Alcotest.(check (float 1e-6)) "event time" 0.05 !fired_at
+
+let test_runner_crash_recoveries () =
+  (* A storage crash mid-run: the run's recovery count is the delta of
+     the shared registry's [recovery.phase.done] across the run. *)
+  let cfg = Config.make ~t_p:1 ~block_size:64 ~k:3 ~n:5 () in
+  let cluster = Cluster.create cfg in
+  let metrics = Cluster.metrics cluster in
+  let before = Metrics.counter metrics "recovery.phase.done" in
+  let r =
+    Runner.run ~outstanding:2 ~warmup:0.0
+      ~events:[ (0.01, fun cl -> Cluster.crash_and_remap_storage cl 0) ]
+      ~cluster ~clients:2 ~duration:0.04
+      ~workload:(Generator.Random_mix { blocks = 24; write_frac = 0.5 })
+      ()
+  in
+  let done_delta = Metrics.counter metrics "recovery.phase.done" - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "recoveries ran (%.0f)" r.Runner.recoveries)
+    true
+    (r.Runner.recoveries > 0.);
+  Alcotest.(check (float 0.)) "recoveries = recovery.phase.done delta"
+    (float_of_int done_delta) r.Runner.recoveries;
+  Alcotest.(check (option int)) "phase breakdown agrees" (Some done_delta)
+    (List.assoc_opt "recovery.phase.done" r.Runner.recovery_phases)
+
+let test_report_percentile () =
+  (* Nearest rank: the ceil(q * n)-th smallest sample. *)
+  let samples = [ 0.04; 0.10; 0.01; 0.03; 0.02 ] in
+  Alcotest.(check (float 0.)) "empty" 0. (Report.percentile 0.5 []);
+  Alcotest.(check (float 0.)) "p0 is the minimum" 0.01
+    (Report.percentile 0. samples);
+  Alcotest.(check (float 0.)) "p50" 0.03 (Report.percentile 0.5 samples);
+  Alcotest.(check (float 0.)) "p55 is the 3rd" 0.03
+    (Report.percentile 0.55 samples);
+  Alcotest.(check (float 0.)) "p61 is the 4th" 0.04
+    (Report.percentile 0.61 samples);
+  Alcotest.(check (float 0.)) "p99 is the maximum" 0.10
+    (Report.percentile 0.99 samples)
 
 (* --- Table rendering ------------------------------------------------ *)
 
@@ -333,7 +377,7 @@ let suite =
       t "generator zipf skew" test_generator_zipf_skew;
       t "generator zipf validation" test_generator_zipf_validation;
       t "generator trace replay" test_generator_trace_replay;
-      t "cluster env basic call" test_cluster_client_env_calls;
+      t "cluster env basic call" test_cluster_transport_calls;
       t "crashed client raises" test_cluster_crashed_client_raises;
       t "auto remap on node death" test_cluster_auto_remap;
       t "manual crash-window surfaces Timeout"
@@ -341,11 +385,14 @@ let suite =
       t "manual write completes after restart"
         test_cluster_manual_write_completes_after_restart;
       t "pfor runs thunks in parallel" test_cluster_pfor_parallel_timing;
-      t "note hooks fire" test_cluster_note_hooks;
+      t "event hooks fire" test_cluster_event_hooks;
       t "cluster runs are deterministic" test_cluster_deterministic;
       t "runner counts and throughput" test_runner_counts_and_throughput;
       t "runner sampler cadence" test_runner_sampler;
       t "runner events fire on time" test_runner_events_fire;
+      t "runner counts crash recoveries from Metrics"
+        test_runner_crash_recoveries;
+      t "report nearest-rank percentile" test_report_percentile;
       t "table alignment" test_table_alignment;
       t "fmt_f" test_fmt_f;
       t "print_series x union" test_print_series_union;
