@@ -8,7 +8,9 @@
    JSON and asserts the table kernels beat their scalar references,
    that the digest keeps up with the table8 xor pass, and that the
    optimized kernels are allocation-free in steady state.  MB/s counts
-   source bytes processed. *)
+   source bytes processed.  Output names the GF(2^8) region multiply
+   the host ran ([Kernel.gf8_path]), so every run says what it
+   measured. *)
 
 let block_size = 65536
 
@@ -77,8 +79,9 @@ let kernels : (module Kernel.S) list =
 
 let run ?json () =
   let cells = List.concat_map bench_kernel kernels @ [ bench_digest () ] in
-  Printf.printf "kernel throughput, %d KiB blocks (MB/s; alloc B/op)\n"
-    (block_size / 1024);
+  Printf.printf
+    "kernel throughput, %d KiB blocks (MB/s; alloc B/op); gf8 path: %s\n"
+    (block_size / 1024) Kernel.gf8_path;
   Printf.printf "%-10s %4s %-10s %10s %10s\n" "kernel" "h" "op" "MB/s" "B/op";
   List.iter
     (fun c ->
@@ -93,6 +96,7 @@ let run ?json () =
       J_obj
         [
           ("block_size", J_int block_size);
+          ("gf8_path", J_str Kernel.gf8_path);
           ( "results",
             J_arr
               (List.map

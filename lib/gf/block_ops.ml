@@ -1,7 +1,7 @@
 (* GF(2^8) bulk operations — the historical front door to what is now
-   [Kernel.Table8] (word-sliced XOR, per-alpha product tables,
-   mirroring the optimized C kernels the paper describes in Sec 5.1 and
-   6.1).  The in-place [_into] family comes straight from the kernel;
+   [Kernel.Table8] (word-sliced XOR, and a C split-nibble region
+   multiply for scaling, like the optimized C kernels the paper
+   describes in Sec 5.1 and 6.1).  The in-place [_into] family comes straight from the kernel;
    this module adds the allocating conveniences used by cold paths and
    tests. *)
 

@@ -12,8 +12,10 @@
      — the obviously-correct reference the optimized kernels are
      property-tested against (and the baseline the CI throughput
      assertion compares against);
-   - [Table8]: GF(2^8), word-sliced XOR plus a per-alpha 256-entry
-     product table, mirroring the paper's hand-optimized C (Sec 5.1);
+   - [Table8]: GF(2^8), word-sliced XOR plus a C split-nibble region
+     multiply (16 bytes per SSSE3 [pshufb] step, a portable byte loop
+     elsewhere) over per-alpha 32-byte tables, in the spirit of the
+     paper's hand-optimized C (Sec 5.1);
    - [Split16]: GF(2^16), the classic low/high-byte split-table
      multiply: alpha * s = lo[s land 0xff] XOR hi[s lsr 8], where
      lo[b] = alpha * b and hi[b] = alpha * (b << 8) — 512 table entries
@@ -165,54 +167,53 @@ module Scalar8 = Scalar (Field.Gf8)
 module Scalar16 = Scalar (Field.Gf16)
 
 (* ------------------------------------------------------------------ *)
-(* GF(2^8): word-sliced XOR + per-alpha 256-entry product tables. *)
+(* GF(2^8): word-sliced XOR + a native split-nibble region multiply
+   (gf8_stubs.c).  [gf8_region tbl src dst len acc] sets
+   dst.(i) <- p, or dst.(i) <- dst.(i) XOR p when [acc], for i < len,
+   where p = tbl.[s land 15] XOR tbl.[16 + s lsr 4] and s = src.(i).
+   The C side reads exactly [len] bytes of [src] and [dst] unchecked,
+   so every caller checks the lengths first. *)
+
+external gf8_select : unit -> bool = "ecs_gf8_select"
+
+external gf8_region :
+  string -> bytes -> bytes -> (int[@untagged]) -> bool -> unit
+  = "ecs_gf8_region_byte" "ecs_gf8_region"
+[@@noalloc]
+
+let gf8_path = if gf8_select () then "ssse3" else "portable"
 
 module Table8 : S = struct
   let h = 8
   let name = "table8"
 
-  (* Per-alpha multiplication tables; 256 possible alphas, built
-     eagerly at module init (64 KB total).  Each table maps a byte to
-     alpha * byte.  Eager construction keeps the hot path branch-free
-     AND domain-safe: the array is immutable by the time any domain can
-     read it, so there is no racy lazy-publication of half-filled
-     tables (the pre-multicore version memoized on first use, which
-     under parallel writers could expose a table before its fill
-     completed). *)
-  let mul_tables : bytes array =
+  (* Per-alpha nibble tables, built eagerly at module init (8 KiB in
+     all): bytes 0-15 hold alpha * x and bytes 16-31 hold
+     alpha * (x lsl 4), for x < 16.  Since s = lo + (hi lsl 4),
+     alpha * s is the XOR of one entry from each half.  The strings are
+     immutable before any domain can read them. *)
+  let nibble_tables : string array =
     Array.init 256 (fun alpha ->
-        let t = Bytes.create 256 in
-        for x = 0 to 255 do
-          Bytes.unsafe_set t x (Char.unsafe_chr (Gf256.mul alpha x))
-        done;
-        t)
+        String.init 32 (fun i ->
+            Char.unsafe_chr
+              (if i < 16 then Gf256.mul alpha i
+               else Gf256.mul alpha ((i - 16) lsl 4))))
 
-  let mul_table alpha = Array.unsafe_get mul_tables (alpha land 0xff)
+  let nibble_table alpha = Array.unsafe_get nibble_tables (alpha land 0xff)
 
   let xor_into = word_xor_into
 
   let scale_into alpha ~dst ~src =
     check_same_length dst src;
-    let t = mul_table alpha in
-    for i = 0 to Bytes.length src - 1 do
-      Bytes.unsafe_set dst i
-        (Bytes.unsafe_get t (Char.code (Bytes.unsafe_get src i)))
-    done
+    gf8_region (nibble_table alpha) src dst (Bytes.length dst) false
 
   let scale_xor_into alpha ~dst ~src =
     check_same_length dst src;
-    let t = mul_table alpha in
-    for i = 0 to Bytes.length src - 1 do
-      let p =
-        Char.code (Bytes.unsafe_get t (Char.code (Bytes.unsafe_get src i)))
-      in
-      Bytes.unsafe_set dst i
-        (Char.unsafe_chr (Char.code (Bytes.unsafe_get dst i) lxor p))
-    done
+    gf8_region (nibble_table alpha) src dst (Bytes.length dst) true
 
   let delta_into alpha ~dst ~v ~w =
     (* In GF(2^h), v - w = v XOR w: word-sliced subtraction, then a
-       table scale in place only when alpha <> 1. *)
+       scale in place only when alpha <> 1. *)
     word_xor3_into ~dst ~a:v ~b:w;
     if alpha <> 1 then scale_into alpha ~dst ~src:dst
 

@@ -45,8 +45,17 @@ module Scalar16 : S
 (** [Scalar (Field.Gf16)]. *)
 
 module Table8 : S
-(** GF(2^8): word-sliced XOR plus lazily built per-alpha 256-entry
-    product tables — the paper's hand-optimized C kernels (Sec 5.1). *)
+(** GF(2^8): word-sliced XOR plus a C split-nibble region multiply for
+    scale, scale-XOR and delta's scale step — the counterpart of the
+    paper's hand-optimized C kernels (Sec 5.1).  Each alpha has one
+    32-byte table, [alpha * x] and [alpha * (x lsl 4)] for [x < 16],
+    built at module initialisation; the C code does 16 bytes per SSSE3
+    [pshufb] step on x86-64 CPUs that have it and a byte loop over the
+    same tables otherwise. *)
+
+val gf8_path : string
+(** Which region multiply {!Table8} runs on this host: ["ssse3"] or
+    ["portable"].  Chosen once from the CPU at initialisation. *)
 
 module Split16 : S
 (** GF(2^16): low/high-byte split-table multiply,

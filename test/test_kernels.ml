@@ -5,7 +5,10 @@
    GF(2^16)) must agree bit-for-bit with [Kernel.Scalar] over its field
    on every operation, for random alphas and for lengths that exercise
    the word loop, the non-word tail (lengths not a multiple of 8) and
-   the empty block. *)
+   the empty block.  [Table8]'s scale runs in C without bounds checks,
+   so it also gets an every-alpha sweep across the 16-byte vector
+   boundary, aliasing and two-domain checks, and a length guard on
+   every entry point. *)
 
 let random_block rng len =
   Bytes.init len (fun _ -> Char.chr (Random.State.int rng 256))
@@ -86,10 +89,115 @@ let test_delta_aliasing () =
       Alcotest.(check bytes) (K.name ^ " delta dst==v") expect dst)
     (List.map snd pairs)
 
+(* Every alpha against Scalar8, over lengths 0-49 (the whole block is
+   the C byte loop below 16, and 16-49 cross one to three vector steps
+   into a tail), a page, and 65541 = 4096 vector steps plus a 5-byte
+   tail.  The byte loop is also the whole kernel on hosts without
+   SSSE3. *)
+let test_table8_all_alphas () =
+  let module R = Kernel.Scalar8 in
+  let module K = Kernel.Table8 in
+  let rng = Random.State.make [| 0x7A8 |] in
+  let lengths = List.init 50 Fun.id @ [ 4096; 65541 ] in
+  List.iter
+    (fun len ->
+      let src = random_block rng len and dst0 = random_block rng len in
+      let w = random_block rng len in
+      let a = Bytes.create len and b = Bytes.create len in
+      for alpha = 0 to 255 do
+        let tag op = Printf.sprintf "table8 %s len=%d alpha=%d" op len alpha in
+        R.scale_into alpha ~dst:a ~src;
+        K.scale_into alpha ~dst:b ~src;
+        check_agree (tag "scale_into") a b;
+        Bytes.blit dst0 0 a 0 len;
+        Bytes.blit dst0 0 b 0 len;
+        R.scale_xor_into alpha ~dst:a ~src;
+        K.scale_xor_into alpha ~dst:b ~src;
+        check_agree (tag "scale_xor_into") a b;
+        R.delta_into alpha ~dst:a ~v:src ~w;
+        K.delta_into alpha ~dst:b ~v:src ~w;
+        check_agree (tag "delta_into") a b
+      done)
+    lengths
+
+(* In-place scaling: dst == src for scale_into and scale_xor_into
+   (dst <- alpha * dst and dst <- (1 + alpha) * dst). *)
+let test_scale_aliasing () =
+  List.iter
+    (fun ((module R : Kernel.S), (module K : Kernel.S)) ->
+      let rng = Random.State.make [| 0xA2; K.h |] in
+      let len = 4099 * (K.h / 8) in
+      let src = random_block rng len in
+      List.iter
+        (fun alpha ->
+          let tag op = Printf.sprintf "%s %s dst==src alpha=%d" K.name op alpha in
+          let expect = Bytes.create len in
+          R.scale_into alpha ~dst:expect ~src;
+          let b = Bytes.copy src in
+          K.scale_into alpha ~dst:b ~src:b;
+          check_agree (tag "scale_into") expect b;
+          let expect = Bytes.copy src in
+          R.scale_xor_into alpha ~dst:expect ~src;
+          let b = Bytes.copy src in
+          K.scale_xor_into alpha ~dst:b ~src:b;
+          check_agree (tag "scale_xor_into") expect b)
+        (alphas_for K.h rng))
+    pairs
+
+(* Two domains scale distinct buffers at once through the shared
+   nibble tables and must each match Scalar8. *)
+let test_table8_two_domains () =
+  let alphas = [ 0; 1; 2; 0x53; 0x8e; 255 ] in
+  let job seed =
+    let rng = Random.State.make [| 0xD0; seed |] in
+    let src = random_block rng 65541 in
+    let got =
+      List.map
+        (fun alpha ->
+          let dst = Bytes.create (Bytes.length src) in
+          for _ = 1 to 20 do
+            Kernel.Table8.scale_into alpha ~dst ~src;
+            Kernel.Table8.scale_xor_into alpha ~dst ~src:dst
+          done;
+          dst)
+        alphas
+    in
+    (src, got)
+  in
+  let d1 = Domain.spawn (fun () -> job 1) in
+  let d2 = Domain.spawn (fun () -> job 2) in
+  List.iter
+    (fun (src, got) ->
+      List.iter2
+        (fun alpha dst ->
+          let expect = Bytes.create (Bytes.length src) in
+          Kernel.Scalar8.scale_into alpha ~dst:expect ~src;
+          Kernel.Scalar8.scale_xor_into alpha ~dst:expect ~src:expect;
+          check_agree (Printf.sprintf "two domains alpha=%d" alpha) expect dst)
+        alphas got)
+    [ Domain.join d1; Domain.join d2 ]
+
 let test_length_guards () =
-  Alcotest.check_raises "mismatched lengths"
-    (Invalid_argument "Block_ops: blocks of different lengths") (fun () ->
-      Kernel.Table8.xor_into ~dst:(Bytes.create 4) ~src:(Bytes.create 5));
+  let mismatch = Invalid_argument "Block_ops: blocks of different lengths" in
+  let module K = Kernel.Table8 in
+  (* The C region multiply trusts these checks: a missed one would
+     write past a buffer instead of raising. *)
+  List.iter
+    (fun (dst_len, src_len) ->
+      let dst = Bytes.create dst_len and src = Bytes.create src_len in
+      let ok = Bytes.create dst_len in
+      let tag op = Printf.sprintf "table8 %s dst=%d src=%d" op dst_len src_len in
+      Alcotest.check_raises (tag "xor_into") mismatch (fun () ->
+          K.xor_into ~dst ~src);
+      Alcotest.check_raises (tag "scale_into") mismatch (fun () ->
+          K.scale_into 7 ~dst ~src);
+      Alcotest.check_raises (tag "scale_xor_into") mismatch (fun () ->
+          K.scale_xor_into 7 ~dst ~src);
+      Alcotest.check_raises (tag "delta_into v") mismatch (fun () ->
+          K.delta_into 7 ~dst ~v:src ~w:ok);
+      Alcotest.check_raises (tag "delta_into w") mismatch (fun () ->
+          K.delta_into 7 ~dst ~v:ok ~w:src))
+    [ (4, 5); (5, 4); (16, 33); (33, 16) ];
   Alcotest.check_raises "split16 odd length"
     (Invalid_argument "Kernel.split16: block length not a multiple of 2")
     (fun () ->
@@ -198,7 +306,11 @@ let suite =
           (cross_check r k))
       pairs
     @ [
+        t "table8 vs scalar8, every alpha, vector boundary and tails"
+          test_table8_all_alphas;
         t "delta_into aliasing (dst == v)" test_delta_aliasing;
+        t "scale/scale_xor aliasing (dst == src)" test_scale_aliasing;
+        t "table8 on two domains" test_table8_two_domains;
         t "length guards" test_length_guards;
         t "for_h dispatch" test_for_h;
         t "pool get/put roundtrip" test_pool_roundtrip;
